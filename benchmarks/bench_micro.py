@@ -50,6 +50,13 @@ def test_core_decomposition_subcluster(benchmark, now_c):
     assert decomp.search_depth == 11
 
 
+def test_core_decomposition_full_now(benchmark, now_full):
+    decomp = benchmark.pedantic(
+        core_decomposition, args=(now_full, "C-svc"), rounds=1, iterations=1
+    )
+    assert (decomp.q, decomp.search_depth) == (8, 17)
+
+
 def _map_subcluster(net, *, use_cache: bool):
     svc = QuiescentProbeService(net, "C-svc", use_cache=use_cache)
     result = create_mapper(

@@ -126,6 +126,22 @@ def _mapping_run(use_cache: bool, layers: tuple = ()) -> tuple[float, dict]:
     return elapsed, extra
 
 
+def _micro_depth_full_now() -> tuple[float, dict]:
+    """``Q + D + 1`` on full NOW: every ``Q(v)`` plus ``D`` and ``F``.
+
+    Guards the depth stage of a map cycle; a per-node min-cost-flow
+    fallback is an order of magnitude slower and trips the CI gate.
+    """
+    from repro.topology.analysis import core_decomposition
+    from repro.topology.generators import build_full_now
+
+    net = build_full_now()
+    start = time.perf_counter()
+    decomp = core_decomposition(net, "C-svc")
+    elapsed = time.perf_counter() - start
+    return elapsed, {"search_depth": decomp.search_depth, "Q": decomp.q}
+
+
 def _stacked_layers() -> tuple:
     """A representative observation stack: counting + trace bus.
 
@@ -177,6 +193,7 @@ MICRO_SUITE: dict[str, Bench] = {
     "route_eval": _micro_route_eval,
     "switch_probe_eval": _micro_switch_probe_eval,
     "probe_pair": _micro_probe_pair,
+    "depth_full_now": _micro_depth_full_now,
     "full_mapping_subcluster_cached": lambda: _mapping_run(True),
     "full_mapping_subcluster_uncached": lambda: _mapping_run(False),
     "full_mapping_subcluster_stacked": lambda: _mapping_run(

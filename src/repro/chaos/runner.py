@@ -203,13 +203,7 @@ def _settle_depth(net: Network, faults: FaultModel, host: str) -> int:
     the proven ``Q + D + 1`` must be computed on what the mapper can
     actually reach, not on the pristine ground truth.
     """
-    eff = effective_network(net, faults, host)
-    if eff.n_switches < 1 or eff.n_hosts < 2 or host not in eff.hosts:
-        return 2
-    try:
-        return recommended_search_depth(eff, host)
-    except (TopologyError, ValueError):
-        return 2
+    return recommended_search_depth(effective_network(net, faults, host), host)
 
 
 def _map_digest(net: Network | None) -> str:

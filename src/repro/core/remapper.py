@@ -6,14 +6,17 @@ network interfaces."
 
 :class:`RemapperDaemon` packages one complete cycle — map, diff against the
 previous map, and (only when something changed) recompute + verify +
-distribute routes — and keeps a history of cycles so operators can see what
-changed when. The daemon is driven explicitly (``run_cycle()``) so tests
-and simulations control time; a deployment would call it on a timer.
+distribute routes — and keeps a bounded history of recent cycles so
+operators can see what changed when. The daemon is driven explicitly
+(``run_cycle()``) so tests and simulations control time; a deployment
+would call it on a timer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.mapper import MapResult, MapSeed
@@ -37,7 +40,11 @@ from repro.topology.delta import EMPTY_DELTA
 from repro.topology.diff import MapDiff, diff_networks
 from repro.topology.model import Network
 
-__all__ = ["RemapCycle", "RemapperDaemon"]
+__all__ = ["HISTORY_LIMIT", "RemapCycle", "RemapperDaemon"]
+
+#: Cycles kept in :attr:`RemapperDaemon.history`. Each record holds its
+#: cycle's whole map, so an unbounded log grows with the daemon's uptime.
+HISTORY_LIMIT = 32
 
 
 @dataclass(slots=True)
@@ -124,7 +131,15 @@ class RemapperDaemon:
         # degrades to the plain from-scratch cycle and says why.
         self._faults = faults
         self._incremental = incremental
-        self.history: list[RemapCycle] = []
+        #: The most recent cycles, oldest first; ``index`` keeps counting
+        #: past the bound.
+        self.history: deque[RemapCycle] = deque(maxlen=HISTORY_LIMIT)
+        self._cycle_index = itertools.count()
+        # The default depth policy's last answer and the topology epoch it
+        # was computed at: every Network mutator bumps the epoch (SAN012),
+        # so an unchanged epoch means an unchanged depth.
+        self._depth: int | None = None
+        self._depth_epoch: int | None = None
         self.current_map: Network | None = None
         self.current_tables: dict[str, RouteTable] | None = None
         self._last_result: MapResult | None = None
@@ -192,14 +207,20 @@ class RemapperDaemon:
             None,
         )
 
+    def _search_depth(self) -> int:
+        if self._fixed_depth:
+            return self._fixed_depth
+        if self._depth_fn is not None:
+            return self._depth_fn(self._net, self._mapper_host)
+        epoch = self._net.topology_epoch
+        if self._depth is None or self._depth_epoch != epoch:
+            self._depth = recommended_search_depth(self._net, self._mapper_host)
+            self._depth_epoch = epoch
+        return self._depth
+
     def run_cycle(self) -> RemapCycle:
         """One complete cycle; appends to and returns from ``history``."""
-        if self._fixed_depth:
-            depth = self._fixed_depth
-        elif self._depth_fn is not None:
-            depth = self._depth_fn(self._net, self._mapper_host)
-        else:
-            depth = recommended_search_depth(self._net, self._mapper_host)
+        depth = self._search_depth()
         svc = self._build_service()
         seed: MapSeed | None = None
         plan_fallback: str | None = None
@@ -245,7 +266,7 @@ class RemapperDaemon:
         elapsed = result.stats.elapsed_ms
         if diff.identical and self.current_tables is not None:
             cycle = RemapCycle(
-                index=len(self.history),
+                index=next(self._cycle_index),
                 map_result=result,
                 diff=diff,
                 routes_recomputed=False,
@@ -277,7 +298,7 @@ class RemapperDaemon:
         self.current_map = new_map
         self.current_tables = tables
         cycle = RemapCycle(
-            index=len(self.history),
+            index=next(self._cycle_index),
             map_result=result,
             diff=diff,
             routes_recomputed=True,

@@ -18,13 +18,15 @@ Implements:
 edge-disjoint trails ``v → h0`` and ``v → h``; conversely two such trails
 concatenate into a valid walk. With unit costs an optimal flow never routes
 both directions of one wire (the 2-cycle would cancel), so the "no repeated
-edge in either direction" constraint is enforced automatically.
+edge in either direction" constraint is enforced automatically. The flow
+value is only 2, so two successive shortest augmenting paths solve it; the
+residual network is built once per ``(net, h0)`` and reused for every ``v``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import networkx as nx
 
@@ -45,10 +47,7 @@ __all__ = [
     "switch_bridges",
 ]
 
-_SUPPLY = "__supply__"
 _SINK = "__sink__"
-_SINK_H0 = "__sink_h0__"
-_SINK_ANY = "__sink_any__"
 
 
 def _simple_graph(net: Network) -> nx.Graph:
@@ -160,50 +159,170 @@ def separated_set_flow(net: Network) -> set[str]:
     return f
 
 
+class _QSolver:
+    """Residual flow network for every ``Q(v)`` of one ``(net, h0)``.
+
+    The network is the one Definition 2 induces: a unit-cost arc per wire
+    direction (parallel wires add capacity), capacity 2 on the arc from
+    ``h0``'s attachment into ``h0`` (the first-and-last-edge anomaly), and
+    zero-cost arcs ``h0 → SINK_H0``, ``host → SINK_ANY`` and both sinks
+    ``→ SINK``. Arcs are integer-indexed in forward/reverse pairs, so the
+    residual twin of arc ``e`` is ``e ^ 1``. It is built once; each
+    :meth:`q` resets the capacities and pushes two units from ``v``.
+    """
+
+    __slots__ = ("_index", "_head", "_cost", "_cap", "_out", "_sink")
+
+    def __init__(self, net: Network, h0: str) -> None:
+        if not net.is_host(h0):
+            raise ValueError(f"mapper node {h0} must be a host")
+        nodes = net.nodes
+        index = {node: i for i, node in enumerate(nodes)}
+        sink_h0, sink_any, sink = len(nodes), len(nodes) + 1, len(nodes) + 2
+        attach = net.host_attachment(h0)
+        arc_cap: dict[tuple[int, int], int] = {}
+        for wire in net.wires:
+            a, b = wire.nodes
+            if a == b:
+                continue
+            for u, w in ((a, b), (b, a)):
+                cap = 1
+                # Anomaly: the first and last edge of the walk may be the
+                # same, i.e. h0's attachment wire may carry both trail ends
+                # into h0.
+                if attach is not None and w == h0 and u == attach.node:
+                    cap = 2
+                key = (index[u], index[w])
+                arc_cap[key] = arc_cap.get(key, 0) + cap
+        self._index = index
+        self._head: list[int] = []
+        self._cost: list[int] = []
+        self._cap: list[int] = []
+        self._out: list[list[int]] = [[] for _ in range(len(nodes) + 3)]
+        self._sink = sink
+        for (u, w), cap in arc_cap.items():
+            self._arc(u, w, cap, 1)
+        self._arc(index[h0], sink_h0, 1, 0)
+        for host in net.hosts:
+            self._arc(index[host], sink_any, 1, 0)
+        self._arc(sink_h0, sink, 1, 0)
+        self._arc(sink_any, sink, 1, 0)
+
+    def _arc(self, u: int, w: int, cap: int, cost: int) -> None:
+        self._out[u].append(len(self._head))
+        self._head.append(w)
+        self._cost.append(cost)
+        self._cap.append(cap)
+        self._out[w].append(len(self._head))
+        self._head.append(u)
+        self._cost.append(-cost)
+        self._cap.append(0)
+
+    def q(self, node: str) -> int | None:
+        """Min cost of two units from ``node`` to SINK, or ``None``.
+
+        Successive shortest paths: the fresh network has no negative
+        cycle, so augmenting along a shortest path keeps it that way and
+        the summed path costs are the min-cost-flow value. The first path
+        sees only 0/1 costs (0-1 BFS); the second crosses the residual
+        ``-1`` twins of the first (SPFA). No second path means no feasible
+        flow, i.e. ``node`` has no ``Q``. For ``h0`` itself both units
+        leave by its two sink arcs at cost 0.
+        """
+        v = self._index.get(node)
+        if v is None:
+            return None
+        cap = self._cap[:]
+        first = self._zero_one_bfs(v, cap)
+        if first is None:
+            return None
+        second = self._spfa(v, cap)
+        if second is None:
+            return None
+        return first + second
+
+    def _augment(self, pred: list[int], cap: list[int]) -> None:
+        head = self._head
+        x = self._sink
+        while True:
+            e = pred[x]
+            if e < 0:
+                return
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            x = head[e ^ 1]
+
+    def _zero_one_bfs(self, v: int, cap: list[int]) -> int | None:
+        head, cost, out, sink = self._head, self._cost, self._out, self._sink
+        n = len(out)
+        dist = [n + 1] * n
+        pred = [-1] * n
+        done = [False] * n
+        dist[v] = 0
+        queue = deque((v,))
+        while queue:
+            u = queue.popleft()
+            if done[u]:
+                continue
+            if u == sink:
+                self._augment(pred, cap)
+                return dist[u]
+            done[u] = True
+            du = dist[u]
+            for e in out[u]:
+                if cap[e] <= 0:
+                    continue
+                w = head[e]
+                dw = du + cost[e]
+                if dw < dist[w]:
+                    dist[w] = dw
+                    pred[w] = e
+                    if dw == du:
+                        queue.appendleft(w)
+                    else:
+                        queue.append(w)
+        return None
+
+    def _spfa(self, v: int, cap: list[int]) -> int | None:
+        head, cost, out, sink = self._head, self._cost, self._out, self._sink
+        n = len(out)
+        unreached = 2 * n + 2
+        dist = [unreached] * n
+        pred = [-1] * n
+        queued = [False] * n
+        dist[v] = 0
+        queue = deque((v,))
+        queued[v] = True
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            du = dist[u]
+            for e in out[u]:
+                if cap[e] <= 0:
+                    continue
+                w = head[e]
+                dw = du + cost[e]
+                if dw < dist[w]:
+                    dist[w] = dw
+                    pred[w] = e
+                    if not queued[w]:
+                        queued[w] = True
+                        queue.append(w)
+        if dist[sink] == unreached:
+            return None
+        self._augment(pred, cap)
+        return dist[sink]
+
+
 def q_value(net: Network, h0: str, v: str) -> int | None:
     """``Q(v)`` of Definition 2, or ``None`` when undefined (``v`` in ``F``).
 
     Min-cost flow: supply 2 at ``v``; one unit must terminate at ``h0`` and
     one at any host (possibly ``h0`` again via its attachment wire, the
     Definition 2 anomaly, in which case the arc into ``h0`` carries 2).
+    :func:`core_decomposition` reuses one solver for every ``v``.
     """
-    if not net.is_host(h0):
-        raise ValueError(f"mapper node {h0} must be a host")
-    if v == h0:
-        return 0
-    dg = nx.DiGraph()
-    attach = net.host_attachment(h0)
-    for wire in net.wires:
-        a, b = wire.nodes
-        if a == b:
-            continue
-        for u, w in ((a, b), (b, a)):
-            cap = 1
-            # Anomaly: the first and last edge of the walk may be the same,
-            # i.e. h0's attachment wire may carry both trail ends into h0.
-            if attach is not None and w == h0 and u == attach.node:
-                cap = 2
-            if dg.has_edge(u, w):
-                dg[u][w]["capacity"] += cap
-            else:
-                dg.add_edge(u, w, capacity=cap, weight=1)
-    if v not in dg:
-        return None
-    # Forbid through-traffic at hosts other than the trail endpoints: a trail
-    # cannot pass *through* a host (degree 1 makes it impossible anyway, but
-    # parallel host wires are rejected by the model, so nothing to do).
-    dg.add_edge(h0, _SINK_H0, capacity=1, weight=0)
-    for host in net.hosts:
-        dg.add_edge(host, _SINK_ANY, capacity=1, weight=0)
-    dg.add_edge(_SINK_H0, _SINK, capacity=1, weight=0)
-    dg.add_edge(_SINK_ANY, _SINK, capacity=1, weight=0)
-    dg.nodes[v]["demand"] = -2
-    dg.nodes[_SINK]["demand"] = 2
-    try:
-        cost, _ = nx.network_simplex(dg)
-    except nx.NetworkXUnfeasible:
-        return None
-    return int(cost)
+    return _QSolver(net, h0).q(v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,12 +348,13 @@ class CoreDecomposition:
 
 def core_decomposition(net: Network, h0: str) -> CoreDecomposition:
     """Compute ``D``, ``F``, all ``Q(v)`` and ``Q`` in one pass."""
+    solver = _QSolver(net, h0)
     f = separated_set(net)
     qvals: dict[str, int] = {}
     for node in net.nodes:
         if node in f:
             continue
-        q = q_value(net, h0, node)
+        q = solver.q(node)
         if q is not None:
             qvals[node] = q
     q_star = max(qvals.values(), default=0)
@@ -253,7 +373,21 @@ def q_max(net: Network, h0: str) -> int:
 
 
 def recommended_search_depth(net: Network, h0: str) -> int:
-    """The exploration depth ``Q + D + 1`` the algorithm is proven with."""
+    """The exploration depth ``Q + D + 1`` the algorithm is proven with.
+
+    Computed over ``h0``'s connected component, the only part of ``N`` a
+    mapper at ``h0`` can reach: an unplugged cable elsewhere must not make
+    ``D`` infinite. A component below the model's minimums (one switch, two
+    hosts) has no proven depth; any small depth maps what little remains,
+    so it gets 2.
+    """
+    if not net.is_host(h0):
+        raise ValueError(f"mapper node {h0} must be a host")
+    reach = nx.node_connected_component(_simple_graph(net), h0)
+    if len(reach) < len(net.nodes):
+        net = net.induced_subnetwork(reach)
+    if net.n_switches < 1 or net.n_hosts < 2:
+        return 2
     return core_decomposition(net, h0).search_depth
 
 

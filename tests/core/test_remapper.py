@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.remapper import RemapperDaemon
+from repro.core.remapper import HISTORY_LIMIT, RemapperDaemon
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.builder import NetworkBuilder
 
@@ -91,3 +91,56 @@ class TestAdaptation:
         assert [c.index for c in daemon.history] == [0, 1, 2]
         assert daemon.history[0].changed  # first cycle always "changes"
         assert not daemon.history[2].changed
+
+    def test_history_is_bounded(self, live_net):
+        daemon = RemapperDaemon(live_net, "h0")
+        for _ in range(HISTORY_LIMIT + 5):
+            daemon.run_cycle()
+        assert len(daemon.history) == HISTORY_LIMIT
+        assert [c.index for c in daemon.history] == list(
+            range(5, HISTORY_LIMIT + 5)
+        )
+
+
+class TestDepthPolicy:
+    def test_unplugged_host_maps_the_mapper_component(self, live_net):
+        daemon = RemapperDaemon(live_net, "h0")
+        daemon.run_cycle()
+        live_net.disconnect(live_net.wire_at("h3", 0))
+        cycle = daemon.run_cycle()
+        assert cycle.map_result.network.n_hosts == live_net.n_hosts - 1
+        assert "h3" in cycle.diff.hosts_removed
+        assert cycle.routes_recomputed and cycle.deadlock_free
+        assert cycle.distribution is not None and cycle.distribution.ok
+
+    def test_depth_reused_until_the_topology_changes(self, live_net, monkeypatch):
+        import repro.core.remapper as remapper
+
+        calls = []
+        real = remapper.recommended_search_depth
+
+        def counting(net, h0):
+            calls.append(net.topology_epoch)
+            return real(net, h0)
+
+        monkeypatch.setattr(remapper, "recommended_search_depth", counting)
+        daemon = RemapperDaemon(live_net, "h0")
+        daemon.run_cycle()
+        daemon.run_cycle()
+        assert len(calls) == 1
+        live_net.disconnect(live_net.wire_at("s0", 5))
+        daemon.run_cycle()
+        daemon.run_cycle()
+        assert calls == [calls[0], live_net.topology_epoch]
+
+    def test_explicit_depth_policies_are_not_cached(self, live_net):
+        seen = []
+
+        def depth_fn(net, h0):
+            seen.append(h0)
+            return 8
+
+        daemon = RemapperDaemon(live_net, "h0", depth_fn=depth_fn)
+        daemon.run_cycle()
+        daemon.run_cycle()
+        assert seen == ["h0", "h0"]
